@@ -29,6 +29,21 @@ pub mod pr8;
 pub mod pr9;
 pub mod tables;
 
+/// One database-backed [`O2::run`] of `program` (the four stages warm
+/// against `db`, then the precision passes), reusing `digests` when
+/// given.
+pub fn run_with_db(
+    engine: &O2,
+    program: &Program,
+    db: &mut AnalysisDb,
+    digests: Option<&o2_ir::ProgramDigests>,
+) -> Analysis {
+    let budget = Budget::unlimited();
+    let mut request = AnalysisRequest::new(ProgramCtx::solo(program), &budget).db(db);
+    request.digests = digests;
+    engine.run(request).expect("unlimited budget")
+}
+
 /// The outcome of running one (program, policy) cell of a table.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {

@@ -19,7 +19,7 @@
 //!                  "candidates_replayed", "candidates_rechecked" } ] }
 //! ```
 
-use crate::fmt_dur;
+use crate::{fmt_dur, run_with_db};
 use o2::prelude::*;
 use o2::IncrStats;
 use std::fmt::Write as _;
@@ -95,7 +95,7 @@ pub fn preset_row(name: &str, iters: usize) -> Option<Pr3Row> {
     // being measured is the warm re-analysis, not the initial indexing.
     let base_db = {
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
+        run_with_db(&engine, &w.program, &mut db, None);
         db.to_bytes()
     };
     let mut warm = Duration::MAX;
@@ -103,7 +103,7 @@ pub fn preset_row(name: &str, iters: usize) -> Option<Pr3Row> {
     for _ in 0..iters.max(1) {
         let mut db = AnalysisDb::from_bytes(&base_db).expect("base db roundtrips");
         let t0 = Instant::now();
-        let (_, s) = engine.analyze_with_db(&edited, &mut db);
+        let s = run_with_db(&engine, &edited, &mut db, None).stats;
         let d = t0.elapsed();
         if d < warm {
             warm = d;

@@ -32,8 +32,8 @@
 //!                       "runs": [ ... ] } }
 //! ```
 
-use crate::fmt_dur;
 use crate::pr1::{scaling_rows, ScalingRow};
+use crate::{fmt_dur, run_with_db};
 use o2::prelude::*;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -129,7 +129,7 @@ pub fn preset_row(name: &str, iters: usize) -> Option<Pr5Row> {
     // reuses the digests from `--load-db` image verification.
     let base_db = {
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
+        run_with_db(&engine, &w.program, &mut db, None);
         db.to_bytes()
     };
     let digests = o2_ir::digest_program(&edited);
@@ -137,7 +137,7 @@ pub fn preset_row(name: &str, iters: usize) -> Option<Pr5Row> {
     for _ in 0..iters.max(1) {
         let mut db = AnalysisDb::from_bytes(&base_db).expect("base db roundtrips");
         let t0 = Instant::now();
-        let _ = engine.analyze_with_db_prepared(&edited, &mut db, &digests);
+        run_with_db(&engine, &edited, &mut db, Some(&digests));
         warm_edit = warm_edit.min(t0.elapsed());
     }
 

@@ -24,8 +24,8 @@
 //! overhead, not speedup — read the notes before trusting any ratio.
 //! Std-only and hand-rolled JSON, like every other harness here.
 
-use crate::fmt_dur;
 use crate::pr1::ScalingRow;
+use crate::{fmt_dur, run_with_db};
 use o2::prelude::*;
 use o2_analysis::run_osa;
 use o2_detect::detect;
@@ -164,7 +164,7 @@ pub fn mega_row(name: &str, iters: usize) -> Option<MegaRow> {
     // the *unchanged* program, so every stage should come from the db.
     let image = {
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
+        run_with_db(&engine, &w.program, &mut db, None);
         db.to_bytes()
     };
     let digests = o2_ir::digest_program(&w.program);
@@ -173,7 +173,7 @@ pub fn mega_row(name: &str, iters: usize) -> Option<MegaRow> {
     for _ in 0..iters.max(1) {
         let mut db = AnalysisDb::from_bytes(&image).expect("image roundtrips");
         let t0 = Instant::now();
-        let (r, _stats) = engine.analyze_with_db_prepared(&w.program, &mut db, &digests);
+        let r = run_with_db(&engine, &w.program, &mut db, Some(&digests)).report;
         warm = warm.min(t0.elapsed());
         warm_report = Some(r);
     }

@@ -21,7 +21,7 @@
 //!
 //! Std-only and hand-rolled JSON, like every other harness here.
 
-use crate::fmt_dur;
+use crate::{fmt_dur, run_with_db};
 use o2::prelude::*;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -85,8 +85,8 @@ fn fixture_row(name: String, program: &Program, expected: usize, iters: usize) -
     let report = report.expect("at least one cold iteration");
 
     let mut db = AnalysisDb::new(engine.config_sig());
-    engine.analyze_with_db(program, &mut db);
-    let (warm, _) = engine.analyze_with_db(program, &mut db);
+    run_with_db(&engine, program, &mut db, None);
+    let warm = run_with_db(&engine, program, &mut db, None).report;
 
     FixtureRow {
         workload: name,

@@ -140,10 +140,10 @@ fn output_of(map: &BTreeMap<String, JsonValue>) -> &str {
 
 fn preset_row(engine: &O2, preset: &str, opts: &Pr9Options) -> ServeRow {
     let w = o2_workloads::workload_by_name(preset).expect("preset resolves");
-    let solo = solo_reports(engine, &w.program);
+    let solo = solo_reports(engine, &w.program).expect("solo oracle");
     let edited_solo = {
         let (edited, _) = o2_workloads::single_function_edit(&w.program);
-        solo_reports(engine, &edited)
+        solo_reports(engine, &edited).expect("solo oracle")
     };
     let line = format!("{{\"op\":\"analyze\",\"workload\":\"{preset}\"}}");
     let edit_line = format!("{{\"op\":\"analyze\",\"workload\":\"{preset}\",\"edit\":1}}");

@@ -20,12 +20,11 @@
 //! scheduling-dependent, which is why it is a separate artifact.
 
 use crate::incremental::IncrStats;
-use crate::{AnalysisReport, O2};
+use crate::{Analysis, AnalysisRequest, O2};
 use o2_db::{SharedStore, StoreStats};
-use o2_ir::{O2Error, Program, ProgramCtx, ProgramId};
+use o2_ir::{Budget, O2Error, Program, ProgramCtx, ProgramId};
 use o2_passes::{PipelineReport, Tier};
 use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -127,7 +126,7 @@ pub struct ProgramOutcome {
     /// Wall time of this program's analysis (scheduling-dependent).
     pub wall_ms: f64,
     /// Why this entry produced no report: a load failure carried in
-    /// from the manifest, or a panic the batch worker caught. `None`
+    /// from the manifest, or a panic caught by [`O2::run`]. `None`
     /// for every successfully analyzed program.
     pub error: Option<O2Error>,
 }
@@ -282,6 +281,7 @@ pub fn run_batch_with_store(
     let workers = workers.max(1);
     let t0 = Instant::now();
     let claim = AtomicUsize::new(0);
+    let budget = Budget::unlimited();
     let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..entries.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
@@ -306,21 +306,23 @@ pub fn run_batch_with_store(
                 // ProgramId is the manifest index: unique per entry, and
                 // purely internal — nothing id-derived reaches a report.
                 let ctx = ProgramCtx::new(ProgramId(i as u32), &entry.name, program);
-                // Panic backstop: a bug in one program's analysis becomes
-                // that entry's error; the worker claims the next entry.
-                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut db = store.checkout();
-                    let (report, mut stats): (AnalysisReport, IncrStats) =
-                        engine.analyze_with_db_ctx(&ctx, &mut db);
-                    // Each program runs once per batch, so every replay
-                    // came from an artifact another program published.
-                    stats.cross_program_hits = stats.total_replays();
+                let mut db = store.checkout();
+                // A panic in one program's analysis becomes that entry's
+                // error; the worker claims the next entry.
+                let run = engine.run(AnalysisRequest::new(ctx, &budget).db(&mut db));
+                if run.is_ok() {
                     store.publish(&db);
-                    (report.run_pipeline(program), stats)
-                }));
+                }
                 let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
                 let slot = match run {
-                    Ok((pipeline, stats)) => {
+                    Ok(Analysis {
+                        pipeline,
+                        mut stats,
+                        ..
+                    }) => {
+                        // Each program runs once per batch, so every replay
+                        // came from an artifact another program published.
+                        stats.cross_program_hits = stats.total_replays();
                         let outcome = ProgramOutcome {
                             name: entry.name.clone(),
                             tiers: (
@@ -337,9 +339,9 @@ pub fn run_batch_with_store(
                             outcome,
                         }
                     }
-                    Err(payload) => Slot {
+                    Err(error) => Slot {
                         pipeline: None,
-                        outcome: error_outcome(&entry.name, O2Error::from_panic(payload), wall_ms),
+                        outcome: error_outcome(&entry.name, error, wall_ms),
                     },
                 };
                 slots.lock().expect("batch slots poisoned")[i] = Some(slot);

@@ -31,16 +31,10 @@
 //! panic) 19.
 
 use o2::prelude::*;
-use o2_db::{AnalysisDb, CachedReports};
-use std::panic::AssertUnwindSafe;
+use o2::serve::Format;
+use o2_db::AnalysisDb;
 use std::process::ExitCode;
 use std::time::Duration;
-
-/// Runs `f` under a panic backstop: a panic anywhere in the pipeline
-/// becomes a typed `internal` error (exit 19) instead of an abort.
-fn run_guarded<T>(f: impl FnOnce() -> T) -> Result<T, O2Error> {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(O2Error::from_panic)
-}
 
 /// Prints a typed error and maps its stage to the process exit code.
 fn fail(err: &O2Error) -> ExitCode {
@@ -48,13 +42,22 @@ fn fail(err: &O2Error) -> ExitCode {
     ExitCode::from(err.exit_code())
 }
 
-/// Output selector for the triaged pipeline report (`--format`). `None`
-/// keeps the legacy raw-detector output paths.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
+/// Renders the triaged report in `format`.
+fn render(format: Format, pipeline: &PipelineReport, program: &Program) -> String {
+    match format {
+        Format::Text => pipeline.render(program),
+        Format::Json => pipeline.to_json(program),
+        Format::Sarif => pipeline.to_sarif(program),
+    }
+}
+
+/// Exit code of a triaged run: 1 when any race survived the passes.
+fn races_exit(races: usize) -> ExitCode {
+    if races == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
 }
 
 struct Options {
@@ -583,7 +586,15 @@ fn load_program(path: &str, force_c: bool) -> Result<Program, O2Error> {
 /// `old`'s in-memory database, print the function-level digest diff and
 /// the replay counters, then the triaged report of `new`.
 fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCode {
-    let d = match run_guarded(|| engine.diff_analyze(old, new)) {
+    let (old_digests, new_digests) = (o2_ir::digest_program(old), o2_ir::digest_program(new));
+    let mut db = AnalysisDb::new(engine.config_sig());
+    let d = match engine.diff_analyze(
+        (ProgramCtx::solo(old), &old_digests),
+        (ProgramCtx::solo(new), &new_digests),
+        &mut db,
+        &Budget::unlimited(),
+        |_| {},
+    ) {
         Ok(d) => d,
         Err(e) => return fail(&e),
     };
@@ -604,26 +615,18 @@ fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCo
         for name in &d.diff.removed {
             println!("  - {name}");
         }
-        println!("{}", d.stats.summary());
+        println!("{}", d.new.stats.summary());
         println!();
     }
     if let Some(path) = &opts.save_db {
-        if let Err(e) = d.db.save(std::path::Path::new(path)) {
+        if let Err(e) = db.save(std::path::Path::new(path)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    let pipeline = d.new.run_pipeline(new);
-    match opts.format {
-        Some(Format::Json) => print!("{}", pipeline.to_json(new)),
-        Some(Format::Sarif) => print!("{}", pipeline.to_sarif(new)),
-        _ => print!("{}", pipeline.render(new)),
-    }
-    if pipeline.races.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    let format = opts.format.unwrap_or(Format::Text);
+    print!("{}", render(format, &d.new.pipeline, new));
+    races_exit(d.new.pipeline.races.len())
 }
 
 fn main() -> ExitCode {
@@ -729,39 +732,31 @@ fn main() -> ExitCode {
                     if !opts.quiet {
                         eprintln!("o2: replayed cached reports from database");
                     }
-                    match format {
-                        Format::Text => print!("{}", reports.text),
-                        Format::Json => print!("{}", reports.json),
-                        Format::Sarif => print!("{}", reports.sarif),
-                    }
+                    print!("{}", format.pick(&reports));
                     if let Some(path) = &opts.save_db {
                         if let Err(e) = db.save(std::path::Path::new(path)) {
                             eprintln!("error: cannot write {path}: {e}");
                             return ExitCode::from(2);
                         }
                     }
-                    return if reports.n_races == 0 {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(1)
-                    };
+                    return races_exit(reports.n_races as usize);
                 }
             }
         }
     }
 
-    let run = run_guarded(|| {
-        if let Some(digests) = &digests {
-            let (r, s) = engine.analyze_with_db_prepared(&program, &mut db, digests);
-            (r, Some(s))
-        } else {
-            (engine.analyze(&program), None)
-        }
-    });
-    let (report, incr_stats) = match run {
-        Ok(v) => v,
+    let budget = Budget::unlimited();
+    let request = AnalysisRequest::new(ProgramCtx::solo(&program), &budget);
+    let request = match &digests {
+        Some(digests) => request.db(&mut db).digests(digests),
+        None => request,
+    };
+    let analysis = match engine.run(request) {
+        Ok(a) => a,
         Err(e) => return fail(&e),
     };
+    let report = &analysis.report;
+    let incr_stats = digests.is_some().then_some(analysis.stats);
 
     if !opts.quiet {
         println!("{}", report.summary());
@@ -816,25 +811,14 @@ fn main() -> ExitCode {
         // print the requested rendering. The exit code reflects the
         // *triaged* race list, so `@suppress(race)` and pruning make a
         // clean run exit 0.
-        let pipeline = report.run_pipeline(&program);
         if use_db {
-            db.reports = Some(CachedReports {
-                n_races: pipeline.races.len() as u64,
-                text: pipeline.render(&program),
-                json: pipeline.to_json(&program),
-                sarif: pipeline.to_sarif(&program),
-            });
-        }
-        match format {
-            Format::Text => print!("{}", pipeline.render(&program)),
-            Format::Json => print!("{}", pipeline.to_json(&program)),
-            Format::Sarif => print!("{}", pipeline.to_sarif(&program)),
-        }
-        if pipeline.races.is_empty() {
-            ExitCode::SUCCESS
+            let reports = analysis.reports(&program);
+            print!("{}", format.pick(&reports));
+            db.reports = Some(reports);
         } else {
-            ExitCode::from(1)
+            print!("{}", render(format, &analysis.pipeline, &program));
         }
+        races_exit(analysis.pipeline.races.len())
     } else {
         if opts.json {
             print!("{}", report.races.to_json(&program));

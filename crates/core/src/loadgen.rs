@@ -391,7 +391,8 @@ fn build_oracle(engine: &O2, schedule: &[Scheduled]) -> Result<FastMap<String, S
         for _ in 0..edit {
             program = o2_workloads::single_function_edit(&program).0;
         }
-        oracle.insert(s.key.clone(), solo_reports(engine, &program).text);
+        let solo = solo_reports(engine, &program).map_err(|e| format!("oracle {spec}: {e}"))?;
+        oracle.insert(s.key.clone(), solo.text);
     }
     Ok(oracle)
 }
@@ -575,7 +576,7 @@ pub fn run_loadgen(
 pub fn run_smoke(addr: &str, engine: &O2, shutdown: bool) -> Result<String, String> {
     let spec = "realbug:ZooKeeper";
     let w = o2_workloads::workload_by_name(spec).expect("smoke workload exists");
-    let solo = solo_reports(engine, &w.program);
+    let solo = solo_reports(engine, &w.program).map_err(|e| format!("oracle {spec}: {e}"))?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let ping = client.request("{\"op\":\"ping\"}")?;
     if ping.get("ok").and_then(|v| v.as_bool()) != Some(true) {

@@ -64,19 +64,18 @@
 //! mutexes held only for copies, never across an analysis.
 
 use crate::incremental::IncrStats;
-use crate::{AnalysisReport, O2};
+use crate::{AnalysisRequest, O2};
 use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher, FastMap, SharedStore, StoreStats};
-use o2_ir::{
-    digest_diff, digest_program, Budget, O2Error, Program, ProgramCtx, ProgramDigests, ProgramId,
-};
+use o2_ir::{digest_program, Budget, O2Error, Program, ProgramCtx, ProgramDigests, ProgramId};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+pub use o2_ir::json_escape;
 
 /// Hard cap on one request line's byte length (overridable via
 /// [`ServeOptions::max_line`]). An oversized line answers a structured
@@ -132,25 +131,6 @@ impl JsonValue {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parses one *flat* JSON object (`{"k": "v", "n": 3, "b": true}`) into
@@ -353,6 +333,15 @@ pub enum Format {
 }
 
 impl Format {
+    /// This format's rendering out of `reports`.
+    pub fn pick(self, reports: &CachedReports) -> &str {
+        match self {
+            Format::Text => &reports.text,
+            Format::Json => &reports.json,
+            Format::Sarif => &reports.sarif,
+        }
+    }
+
     fn parse(s: &str) -> Result<Format, String> {
         match s {
             "text" => Ok(Format::Text),
@@ -612,6 +601,12 @@ impl ServeStats {
     }
 }
 
+/// Locks one of the server's mutexes. None is held across an analysis,
+/// so poisoning would mean a bug in the bookkeeping itself.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("serve state lock poisoned")
+}
+
 struct ResolvedProgram {
     name: String,
     program: Program,
@@ -737,14 +732,14 @@ impl ServeState {
     /// Point-in-time copy of the request counters, with the cache
     /// hit/evict counters folded in from the two LRU caches.
     pub fn stats(&self) -> ServeStats {
-        let mut s = *self.stats.lock().expect("serve stats poisoned");
+        let mut s = *lock(&self.stats);
         {
-            let p = self.programs.lock().expect("program cache poisoned");
+            let p = lock(&self.programs);
             s.program_cache_hits = p.hits;
             s.program_cache_evictions = p.evictions;
         }
         {
-            let r = self.reports.lock().expect("report cache poisoned");
+            let r = lock(&self.reports);
             s.report_cache_hits = r.hits;
             s.report_cache_evictions = r.evictions;
         }
@@ -761,7 +756,7 @@ impl ServeState {
     /// their next read-timeout tick.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let addr = *self.addr.lock().expect("serve addr poisoned");
+        let addr = *lock(&self.addr);
         if let Some(addr) = addr {
             // Wake the blocking accept() so the acceptor sees the flag.
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
@@ -774,13 +769,13 @@ impl ServeState {
     }
 
     fn count_error(&self) {
-        let mut s = self.stats.lock().expect("serve stats poisoned");
+        let mut s = lock(&self.stats);
         s.requests += 1;
         s.errors += 1;
     }
 
     fn count_staged_error(&self, err: &O2Error) {
-        let mut s = self.stats.lock().expect("serve stats poisoned");
+        let mut s = lock(&self.stats);
         s.requests += 1;
         s.errors += 1;
         match err {
@@ -791,7 +786,7 @@ impl ServeState {
     }
 
     fn count_misc(&self) {
-        self.stats.lock().expect("serve stats poisoned").requests += 1;
+        lock(&self.stats).requests += 1;
     }
 
     fn fresh_program_id(&self) -> ProgramId {
@@ -812,12 +807,7 @@ impl ServeState {
                 format!("s\u{1}{:016x}{:016x}", d.0, d.1)
             }
         };
-        if let Some(p) = self
-            .programs
-            .lock()
-            .expect("program cache poisoned")
-            .get(&key)
-        {
+        if let Some(p) = lock(&self.programs).get(&key) {
             return Ok(p);
         }
         // Resolve outside the lock: generation / parsing can be slow and
@@ -860,10 +850,7 @@ impl ServeState {
             program,
             digests,
         });
-        self.programs
-            .lock()
-            .expect("program cache poisoned")
-            .insert(key, resolved.clone());
+        lock(&self.programs).insert(key, resolved.clone());
         Ok(resolved)
     }
 
@@ -930,30 +917,10 @@ impl ServeState {
         }
     }
 
-    /// Runs the budgeted incremental pipeline under a panic backstop.
-    /// No `ServeState` lock is held across this call, so a caught panic
-    /// can never poison shared state; it surfaces as a structured
-    /// `internal` error and the worker returns to the pool.
-    fn run_pipeline_guarded(
-        &self,
-        ctx: &ProgramCtx<'_>,
-        db: &mut AnalysisDb,
-        digests: &ProgramDigests,
-        budget: &Budget,
-    ) -> Result<(AnalysisReport, IncrStats), O2Error> {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.engine
-                .try_analyze_with_db_prepared_ctx(ctx, db, digests, budget)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(O2Error::from_panic(payload)),
-        }
-    }
-
-    /// Runs the incremental pipeline for `resolved` against a store
-    /// checkout and caches the rendered reports. Returns the reports and
-    /// the run's replay counters; a budget trip or caught panic aborts
-    /// the request without publishing and without caching.
+    /// Runs `resolved` against a store checkout and caches the rendered
+    /// reports. Returns the reports and the run's replay counters; a
+    /// budget trip or caught panic aborts the request without publishing
+    /// and without caching.
     fn analyze_uncached(
         &self,
         resolved: &ResolvedProgram,
@@ -961,21 +928,15 @@ impl ServeState {
     ) -> Result<(Arc<CachedReports>, IncrStats), O2Error> {
         let ctx = ProgramCtx::new(self.fresh_program_id(), &resolved.name, &resolved.program);
         let mut db = self.store.checkout();
-        let (report, stats) =
-            self.run_pipeline_guarded(&ctx, &mut db, &resolved.digests, budget)?;
+        let analysis = self.engine.run(
+            AnalysisRequest::new(ctx, budget)
+                .db(&mut db)
+                .digests(&resolved.digests),
+        )?;
         self.store.publish(&db);
-        let pipeline = report.run_pipeline(&resolved.program);
-        let cached = Arc::new(CachedReports {
-            n_races: pipeline.races.len() as u64,
-            text: pipeline.render(&resolved.program),
-            json: pipeline.to_json(&resolved.program),
-            sarif: pipeline.to_sarif(&resolved.program),
-        });
-        self.reports
-            .lock()
-            .expect("report cache poisoned")
-            .insert(resolved.digests.program, cached.clone());
-        Ok((cached, stats))
+        let cached = Arc::new(analysis.reports(&resolved.program));
+        lock(&self.reports).insert(resolved.digests.program, cached.clone());
+        Ok((cached, analysis.stats))
     }
 
     fn account_analysis(
@@ -988,7 +949,7 @@ impl ServeState {
         let replays = stats.total_replays() as u64;
         let recomputes =
             (stats.mis_rescanned + stats.origins_walked + stats.candidates_rechecked) as u64;
-        let mut s = self.stats.lock().expect("serve stats poisoned");
+        let mut s = lock(&self.stats);
         s.requests += 1;
         match kind {
             AnalysisKind::Analyze => s.analyze_ok += 1,
@@ -1018,11 +979,7 @@ impl ServeState {
         let budget = budget_for(deadline_ms);
         budget.check("request admission")?;
         let resolved = self.resolve_target(target)?;
-        let cached = self
-            .reports
-            .lock()
-            .expect("report cache poisoned")
-            .get(&resolved.digests.program);
+        let cached = lock(&self.reports).get(&resolved.digests.program);
         let (reports, digest_hit, stats) = match cached {
             Some(r) => (r, true, IncrStats::default()),
             None => {
@@ -1057,26 +1014,20 @@ impl ServeState {
         // version's artifacts (plus whatever the pool already held).
         // Both runs publish, so later requests replay either version.
         let ctx_old = ProgramCtx::new(self.fresh_program_id(), &old.name, &old.program);
-        let mut db = self.store.checkout();
-        let (_old_report, _old_stats) =
-            self.run_pipeline_guarded(&ctx_old, &mut db, &old.digests, &budget)?;
-        self.store.publish(&db);
         let ctx_new = ProgramCtx::new(self.fresh_program_id(), &new.name, &new.program);
-        let (new_report, stats) =
-            self.run_pipeline_guarded(&ctx_new, &mut db, &new.digests, &budget)?;
-        self.store.publish(&db);
-        let diff = digest_diff(&old.digests, &new.digests);
-        let pipeline = new_report.run_pipeline(&new.program);
-        let reports = Arc::new(CachedReports {
-            n_races: pipeline.races.len() as u64,
-            text: pipeline.render(&new.program),
-            json: pipeline.to_json(&new.program),
-            sarif: pipeline.to_sarif(&new.program),
-        });
-        self.reports
-            .lock()
-            .expect("report cache poisoned")
-            .insert(new.digests.program, reports.clone());
+        let mut db = self.store.checkout();
+        let d = self.engine.diff_analyze(
+            (ctx_old, &old.digests),
+            (ctx_new, &new.digests),
+            &mut db,
+            &budget,
+            |db| {
+                self.store.publish(db);
+            },
+        )?;
+        let (diff, stats) = (d.diff, d.new.stats);
+        let reports = Arc::new(d.new.reports(&new.program));
+        lock(&self.reports).insert(new.digests.program, reports.clone());
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.account_analysis(AnalysisKind::Diff, false, &stats, wall_ms);
         let mut out = String::with_capacity(256);
@@ -1102,8 +1053,8 @@ impl ServeState {
         let s = self.stats();
         let st = self.store_stats();
         let (osa, shb, verdicts) = self.store.pooled();
-        let cached = self.reports.lock().expect("report cache poisoned").len();
-        let cached_programs = self.programs.lock().expect("program cache poisoned").len();
+        let cached = lock(&self.reports).len();
+        let cached_programs = lock(&self.programs).len();
         let mut out = String::with_capacity(512);
         let _ = write!(
             out,
@@ -1188,12 +1139,7 @@ fn push_counter_fields(
 
 fn push_output(out: &mut String, format: Format, reports: &CachedReports) {
     out.push_str(",\"output\":\"");
-    let payload = match format {
-        Format::Text => &reports.text,
-        Format::Json => &reports.json,
-        Format::Sarif => &reports.sarif,
-    };
-    out.push_str(&json_escape(payload));
+    out.push_str(&json_escape(format.pick(reports)));
     out.push_str("\"}");
 }
 
@@ -1229,7 +1175,7 @@ impl Default for ServeOptions {
 /// thread; returns after the last worker exits.
 pub fn run(listener: TcpListener, state: &ServeState, opts: &ServeOptions) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
-    *state.addr.lock().expect("serve addr poisoned") = Some(addr);
+    *lock(&state.addr) = Some(addr);
     let workers = if opts.workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1244,7 +1190,7 @@ pub fn run(listener: TcpListener, state: &ServeState, opts: &ServeOptions) -> st
         for _ in 0..workers {
             let rx = rx.clone();
             scope.spawn(move || loop {
-                let next = rx.lock().expect("serve queue poisoned").recv();
+                let next = lock(&rx).recv();
                 match next {
                     Ok(stream) => handle_conn(state, stream, opts),
                     Err(_) => break, // acceptor gone, queue drained
@@ -1461,15 +1407,14 @@ impl Client {
 /// the byte-identity oracle used by tests, the loadgen smoke, and the
 /// PR 9 bench. This is exactly what the solo CLI prints per `--format`
 /// (with `--quiet`).
-pub fn solo_reports(engine: &O2, program: &Program) -> CachedReports {
-    let report = engine.analyze(program);
-    let pipeline = report.run_pipeline(program);
-    CachedReports {
-        n_races: pipeline.races.len() as u64,
-        text: pipeline.render(program),
-        json: pipeline.to_json(program),
-        sarif: pipeline.to_sarif(program),
-    }
+///
+/// # Errors
+///
+/// A panic caught inside the analysis.
+pub fn solo_reports(engine: &O2, program: &Program) -> Result<CachedReports, O2Error> {
+    let budget = Budget::unlimited();
+    let analysis = engine.run(AnalysisRequest::new(ProgramCtx::solo(program), &budget))?;
+    Ok(analysis.reports(program))
 }
 
 #[cfg(test)]
@@ -1534,7 +1479,7 @@ mod tests {
         );
         // And both match the solo oracle byte-for-byte.
         let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();
-        let solo = solo_reports(state.engine(), &w.program);
+        let solo = solo_reports(state.engine(), &w.program).unwrap();
         assert_eq!(cold_map["output"].as_str(), Some(solo.json.as_str()));
         let s = state.stats();
         assert_eq!(s.report_hits, 1);
@@ -1555,7 +1500,7 @@ mod tests {
         // program.
         let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();
         let (edited, _) = o2_workloads::single_function_edit(&w.program);
-        let solo = solo_reports(state.engine(), &edited);
+        let solo = solo_reports(state.engine(), &edited).unwrap();
         assert_eq!(map["output"].as_str(), Some(solo.text.as_str()));
     }
 }

@@ -64,6 +64,7 @@ pub use oversync::{find_oversync, OversyncReport, OversyncWarning};
 use o2_analysis::{MemKey, OsaResult};
 use o2_ir::error::{Budget, O2Error};
 use o2_ir::ids::GStmt;
+use o2_ir::json_escape;
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
@@ -1027,24 +1028,6 @@ pub fn mem_key_label(program: &Program, key: MemKey) -> String {
 /// happens-before query with that source in O(1), replacing the old
 /// per-(source, sink) boolean cache.
 type HbCache = HashMap<(u32, u32), Vec<u32>>;
-
-/// Minimal JSON string escaping.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn hb(shb: &ShbGraph, a: (OriginId, u32), b: (OriginId, u32), integer: bool) -> bool {
     if integer {

@@ -56,3 +56,4 @@ pub use error::{Budget, O2Error};
 pub use ids::{ClassId, FieldId, GStmt, MethodId, ProgramId, VarId, ARRAY_FIELD};
 pub use origins::{EntryPointConfig, OriginKind};
 pub use program::{structurally_equal, Callee, Class, Instr, Method, Program, Selector, Stmt};
+pub use util::json_escape;

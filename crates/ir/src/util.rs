@@ -1,8 +1,31 @@
 //! Small analysis-grade containers shared by the whole workspace: a sorted
-//! sparse integer set for points-to sets and a generic hash-interner.
+//! sparse integer set for points-to sets and a generic hash-interner, plus
+//! the one JSON string escaper every hand-rolled report writer uses.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::Hash;
+
+/// Escapes `s` for embedding in a JSON string literal: quote, backslash,
+/// `\n`, `\r` and `\t` get their short escapes, every other control
+/// character becomes `\u00XX`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A sparse, sorted set of `u32` keys.
 ///
@@ -391,6 +414,15 @@ impl<T: Eq + Hash + Clone> Interner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_covers_every_control_character() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\re\tf\u{1}g\u{1f}h"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh"
+        );
+        assert_eq!(json_escape("héllo ✓"), "héllo ✓");
+    }
 
     #[test]
     fn sparse_set_insert_and_contains() {

@@ -57,10 +57,11 @@ pub mod triage;
 use o2_analysis::osa::OsaResult;
 use o2_detect::{DeadlockReport, OversyncReport, Race, RaceReport};
 use o2_ir::program::Program;
-use o2_ir::ProgramCtx;
+use o2_ir::{json_escape, Budget, O2Error, ProgramCtx};
 use o2_pta::PtaResult;
 use o2_racerd::RacerDReport;
 use o2_shb::{LockTable, ShbGraph};
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 pub use sarif::{corpus_sarif, corpus_sarif_with_errors};
@@ -161,12 +162,38 @@ impl PassManager {
     /// Seeds the pipeline state from a raw detector report, runs every
     /// pass in order with per-pass timing, and ranks the survivors.
     pub fn run(&mut self, ctx: &AnalysisCtx<'_>, races: &RaceReport) -> PipelineReport {
+        let Ok(report) = self.run_checked(ctx, races, |_| Ok::<(), Infallible>(()));
+        report
+    }
+
+    /// [`Self::run`] under a request-scoped [`Budget`], checked before
+    /// each pass.
+    ///
+    /// # Errors
+    ///
+    /// The budget's typed error when it trips before a pass.
+    pub fn run_budgeted(
+        &mut self,
+        ctx: &AnalysisCtx<'_>,
+        races: &RaceReport,
+        budget: &Budget,
+    ) -> Result<PipelineReport, O2Error> {
+        self.run_checked(ctx, races, |pass| budget.check(pass))
+    }
+
+    fn run_checked<E>(
+        &mut self,
+        ctx: &AnalysisCtx<'_>,
+        races: &RaceReport,
+        mut before_pass: impl FnMut(&'static str) -> Result<(), E>,
+    ) -> Result<PipelineReport, E> {
         let mut state = PipelineState {
             races: races.races.iter().map(TriagedRace::seed).collect(),
             ..Default::default()
         };
         let mut runs = Vec::new();
         for pass in &mut self.passes {
+            before_pass(pass.name())?;
             let t0 = Instant::now();
             let stats = pass.run(ctx, &mut state);
             runs.push(PassRun {
@@ -176,7 +203,7 @@ impl PassManager {
             });
         }
         triage::finalize(&mut state);
-        PipelineReport {
+        Ok(PipelineReport {
             races: state.races,
             pruned: state.pruned,
             suppressed: state.suppressed,
@@ -184,7 +211,7 @@ impl PassManager {
             oversync: state.oversync,
             racerd: state.racerd,
             passes: runs,
-        }
+        })
     }
 }
 
@@ -252,7 +279,7 @@ pub fn corpus_json_with_errors(
     let mut items: Vec<(&str, String)> = Vec::with_capacity(entries.len() + errors.len());
     for &(name, report, program) in entries {
         let mut s = String::from("    {\"name\": \"");
-        s.push_str(&triage::json_escape(name));
+        s.push_str(&json_escape(name));
         s.push_str("\", \"report\": ");
         s.push_str(report.to_json(program).trim_end());
         s.push('}');
@@ -260,11 +287,11 @@ pub fn corpus_json_with_errors(
     }
     for &(name, err) in errors {
         let mut s = String::from("    {\"name\": \"");
-        s.push_str(&triage::json_escape(name));
+        s.push_str(&json_escape(name));
         s.push_str("\", \"error\": {\"stage\": \"");
         s.push_str(err.stage());
         s.push_str("\", \"message\": \"");
-        s.push_str(&triage::json_escape(&err.to_string()));
+        s.push_str(&json_escape(&err.to_string()));
         s.push_str("\"}}");
         items.push((name, s));
     }

@@ -11,9 +11,10 @@
 //! absolute paths, so the bytes are identical across runs and across
 //! `--threads` values.
 
-use crate::triage::{json_escape, Tier};
+use crate::triage::Tier;
 use crate::{PipelineReport, TriagedRace};
 use o2_detect::RaceAccess;
+use o2_ir::json_escape;
 use o2_ir::program::Program;
 use o2_shb::LockElem;
 use std::fmt::Write as _;

@@ -5,7 +5,8 @@
 use o2_analysis::run_osa;
 use o2_detect::{detect, DetectConfig};
 use o2_ir::parser::parse;
-use o2_passes::{run_pipeline, PipelineReport, Tier};
+use o2_ir::Budget;
+use o2_passes::{run_pipeline, AnalysisCtx, PassManager, PipelineReport, Tier};
 use o2_pta::{analyze, Policy, PtaConfig};
 use o2_shb::{build_shb, ShbConfig};
 
@@ -282,4 +283,40 @@ fn guarded_by_inference_demotes_mostly_guarded_locations() {
         report.render(&program)
     );
     assert!(demoted.iter().all(|tr| tr.tier != Tier::High));
+}
+
+#[test]
+fn budgeted_run_checks_the_budget_before_each_pass() {
+    let w = o2_workloads::preset_by_name("avrora")
+        .expect("preset exists")
+        .generate();
+    let ctx = o2_ir::ProgramCtx::solo(&w.program);
+    let pta = analyze(&ctx, &PtaConfig::default());
+    let mut osa = run_osa(&ctx, &pta);
+    let shb = build_shb(&ctx, &pta, &ShbConfig::default(), &mut osa.locs);
+    let races = detect(&ctx, &pta, &osa, &shb, &DetectConfig::o2());
+    let actx = AnalysisCtx {
+        program: &w.program,
+        pta: &pta,
+        osa: &osa,
+        shb: &shb,
+    };
+
+    let expired = Budget::with_deadline(std::time::Duration::ZERO);
+    std::thread::sleep(std::time::Duration::from_millis(1));
+    let err = PassManager::standard()
+        .run_budgeted(&actx, &races, &expired)
+        .unwrap_err();
+    assert_eq!(err.stage(), "timeout");
+    assert!(err.to_string().contains("suppression"), "{err}");
+
+    let budgeted = PassManager::standard()
+        .run_budgeted(&actx, &races, &Budget::unlimited())
+        .unwrap();
+    let plain = PassManager::standard().run(&actx, &races);
+    assert_eq!(
+        budgeted.to_json(&w.program),
+        plain.to_json(&w.program),
+        "an unlimited budget changes nothing"
+    );
 }

@@ -51,8 +51,8 @@ const APP: &str = r#"
 
 fn main() {
     let analyzer = O2Builder::new().build();
-    let report = analyzer.analyze_source(APP).expect("valid program");
-    let program = o2_ir::parser::parse(APP).unwrap();
+    let program = o2_ir::parser::parse(APP).expect("valid program");
+    let report = analyzer.analyze(&program);
 
     println!("== Android events meet threads ==\n");
     println!("origins:");

@@ -215,14 +215,20 @@ fn program_contexts_are_reentrant_across_threads_sharing_one_store() {
         let ta = scope.spawn(|| {
             let ctx = ProgramCtx::new(ProgramId(1), "a", &a);
             let mut db = store.checkout();
-            let (report, _) = engine.analyze_with_db_ctx(&ctx, &mut db);
+            let report = engine
+                .run(AnalysisRequest::new(ctx, &Budget::unlimited()).db(&mut db))
+                .unwrap()
+                .report;
             store.publish(&db);
             report.races.render(&a)
         });
         let tb = scope.spawn(|| {
             let ctx = ProgramCtx::new(ProgramId(2), "b", &b);
             let mut db = store.checkout();
-            let (report, _) = engine.analyze_with_db_ctx(&ctx, &mut db);
+            let report = engine
+                .run(AnalysisRequest::new(ctx, &Budget::unlimited()).db(&mut db))
+                .unwrap()
+                .report;
             store.publish(&db);
             report.races.render(&b)
         });

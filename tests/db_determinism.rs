@@ -8,12 +8,21 @@
 
 use o2::prelude::*;
 
+/// One database-backed request through [`O2::run`].
+fn run_db(engine: &O2, program: &Program, db: &mut AnalysisDb) -> (AnalysisReport, IncrStats) {
+    let budget = Budget::unlimited();
+    let a = engine
+        .run(AnalysisRequest::new(ProgramCtx::solo(program), &budget).db(db))
+        .unwrap();
+    (a.report, a.stats)
+}
+
 const PRESETS: &[&str] = &["xalan", "avrora", "zookeeper"];
 
 fn db_bytes_for(program: &Program, threads: usize) -> (Vec<u8>, String) {
     let engine = O2Builder::new().detect_threads(threads).build();
     let mut db = AnalysisDb::new(engine.config_sig());
-    let (report, _) = engine.analyze_with_db(program, &mut db);
+    let (report, _) = run_db(&engine, program, &mut db);
     let json = report.run_pipeline(program).to_json(program);
     (db.to_bytes(), json)
 }
@@ -47,15 +56,15 @@ fn db_bytes_identical_across_repeated_runs() {
             .generate();
         let engine = O2Builder::new().build();
         let mut db1 = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db1);
+        run_db(&engine, &w.program, &mut db1);
         let first = db1.to_bytes();
         // A second cold database over the same program...
         let mut db2 = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db2);
+        run_db(&engine, &w.program, &mut db2);
         assert_eq!(db2.to_bytes(), first, "{name}: cold databases differ");
         // ...and a warm rewrite of the first: artifacts are replaced by
         // exactly the artifacts of the new run, so bytes are unchanged.
-        engine.analyze_with_db(&w.program, &mut db1);
+        run_db(&engine, &w.program, &mut db1);
         assert_eq!(
             db1.to_bytes(),
             first,
@@ -74,14 +83,14 @@ fn warm_reports_identical_across_thread_counts() {
     let (edited, _) = o2_workloads::single_function_edit(&w.program);
     let serial = O2Builder::new().detect_threads(1).build();
     let mut db = AnalysisDb::new(serial.config_sig());
-    serial.analyze_with_db(&w.program, &mut db);
+    run_db(&serial, &w.program, &mut db);
     let bytes = db.to_bytes();
 
     let mut outputs: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let engine = O2Builder::new().detect_threads(threads).build();
         let mut warm_db = AnalysisDb::from_bytes(&bytes).unwrap();
-        let (report, stats) = engine.analyze_with_db(&edited, &mut warm_db);
+        let (report, stats) = run_db(&engine, &edited, &mut warm_db);
         assert!(stats.incremental);
         outputs.push(report.run_pipeline(&edited).to_json(&edited));
     }

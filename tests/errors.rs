@@ -24,8 +24,9 @@ fn fixture(name: &str) -> String {
 #[test]
 fn broken_o2_source_is_a_parse_error_with_position() {
     let engine = O2Builder::new().build();
-    let err = engine
-        .try_analyze_source(&fixture("broken.o2"), &Budget::unlimited())
+    let err = o2_ir::parser::parse(&fixture("broken.o2"))
+        .map_err(O2Error::from)
+        .and_then(|p| engine.try_analyze(&p, &Budget::unlimited()))
         .unwrap_err();
     assert_eq!(err.stage(), "parse");
     assert_eq!(err.exit_code(), 10);
@@ -38,8 +39,9 @@ fn broken_o2_source_is_a_parse_error_with_position() {
 #[test]
 fn missing_main_is_a_program_level_parse_error() {
     let engine = O2Builder::new().build();
-    let err = engine
-        .try_analyze_source(&fixture("no_main.o2"), &Budget::unlimited())
+    let err = o2_ir::parser::parse(&fixture("no_main.o2"))
+        .map_err(O2Error::from)
+        .and_then(|p| engine.try_analyze(&p, &Budget::unlimited()))
         .unwrap_err();
     assert_eq!(err.stage(), "parse");
     assert!(err.to_string().contains("main"), "{err}");

@@ -65,12 +65,23 @@ fn mega_smoke_warm_replay_is_byte_identical() {
 
     let image = {
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
+        let budget = Budget::unlimited();
+        engine
+            .run(AnalysisRequest::new(ProgramCtx::solo(&w.program), &budget).db(&mut db))
+            .unwrap();
         db.to_bytes()
     };
     let mut db = AnalysisDb::from_bytes(&image).expect("image roundtrips");
     let digests = o2_ir::digest_program(&w.program);
-    let (warm, stats) = engine.analyze_with_db_prepared(&w.program, &mut db, &digests);
+    let budget = Budget::unlimited();
+    let request = AnalysisRequest::new(ProgramCtx::solo(&w.program), &budget)
+        .db(&mut db)
+        .digests(&digests);
+    let Analysis {
+        report: warm,
+        stats,
+        ..
+    } = engine.run(request).unwrap();
 
     assert_eq!(
         cold.races.to_json(&w.program),

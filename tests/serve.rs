@@ -30,7 +30,7 @@ fn concurrent_clients_get_solo_identical_bytes() {
         .iter()
         .map(|spec| {
             let w = o2_workloads::workload_by_name(spec).unwrap();
-            solo_reports(&engine, &w.program)
+            solo_reports(&engine, &w.program).unwrap()
         })
         .collect();
     let server = start(engine, ServeOptions::default());
@@ -185,7 +185,7 @@ fn preseeded_server_starts_warm() {
     assert!(map["replays"].as_u64().unwrap() > 0, "warm from the seed");
     assert_eq!(map["recomputes"].as_u64(), Some(0), "nothing recomputed");
     // And warm output still matches solo.
-    let solo = solo_reports(server.state().engine(), &w.program);
+    let solo = solo_reports(server.state().engine(), &w.program).unwrap();
     assert_eq!(get_str(&map, "output"), solo.text);
     server.shutdown().unwrap();
 }
@@ -205,7 +205,7 @@ fn diff_analyze_over_the_wire_matches_solo_of_the_edit() {
     );
     let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();
     let (edited, _) = o2_workloads::single_function_edit(&w.program);
-    let solo = solo_reports(server.state().engine(), &edited);
+    let solo = solo_reports(server.state().engine(), &edited).unwrap();
     assert_eq!(get_str(&map, "output"), solo.text);
     server.shutdown().unwrap();
 }

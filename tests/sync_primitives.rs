@@ -6,7 +6,16 @@
 //! `preloop_prune` on/off.
 
 use o2::prelude::*;
-use o2::AnalysisReport;
+use o2::{AnalysisReport, IncrStats};
+
+/// One database-backed request through [`O2::run`].
+fn run_db(engine: &O2, program: &Program, db: &mut AnalysisDb) -> (AnalysisReport, IncrStats) {
+    let budget = Budget::unlimited();
+    let a = engine
+        .run(AnalysisRequest::new(ProgramCtx::solo(program), &budget).db(db))
+        .unwrap();
+    (a.report, a.stats)
+}
 
 fn renders(program: &Program, report: &AnalysisReport) -> (String, String, String) {
     let p = report.run_pipeline(program);
@@ -64,8 +73,8 @@ fn extended_models_warm_replay_equals_cold() {
         let engine = O2Builder::new().build();
         let cold = engine.analyze(&m.program);
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&m.program, &mut db);
-        let (warm, stats) = engine.analyze_with_db(&m.program, &mut db);
+        run_db(&engine, &m.program, &mut db);
+        let (warm, stats) = run_db(&engine, &m.program, &mut db);
         assert_eq!(
             stats.origins_walked, 0,
             "{}: unchanged program must replay every origin (incl. rw/cond \
@@ -91,8 +100,8 @@ fn extended_models_warm_equals_cold_after_edit() {
         let engine = O2Builder::new().build();
         let cold = engine.analyze(&edited);
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&m.program, &mut db);
-        let (warm, _) = engine.analyze_with_db(&edited, &mut db);
+        run_db(&engine, &m.program, &mut db);
+        let (warm, _) = run_db(&engine, &edited, &mut db);
         assert_eq!(
             renders(&edited, &cold),
             renders(&edited, &warm),

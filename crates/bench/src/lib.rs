@@ -3,8 +3,8 @@
 //! Regenerates every table of the paper's evaluation section on the
 //! synthetic benchmark suite. The `reproduce` binary prints the tables;
 //! the `bench` binary times the same pipelines with std-only best-of-N
-//! timers (no external benchmarking dependency), and its `pr1` group
-//! writes the parallel-detect / delta-solver report to `BENCH_pr1.json`.
+//! timers (no external benchmarking dependency) and writes the gated
+//! report [`gate`] describes to `BENCH_gate.json`.
 //!
 //! Absolute numbers differ from the paper (the substrate is a synthetic
 //! IR, not DaCapo-on-HotSpot or LLVM-compiled C), but the *shape* of every
@@ -18,31 +18,8 @@ use o2_workloads::presets::{Group, Preset};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
+pub mod gate;
 pub mod tables;
-
-/// One database-backed [`O2::run`] of `program` (the four stages warm
-/// against `db`, then the precision passes), reusing `digests` when
-/// given.
-pub fn run_with_db(
-    engine: &O2,
-    program: &Program,
-    db: &mut AnalysisDb,
-    digests: Option<&o2_ir::ProgramDigests>,
-) -> Analysis {
-    let budget = Budget::unlimited();
-    let mut request = AnalysisRequest::new(ProgramCtx::solo(program), &budget).db(db);
-    request.digests = digests;
-    engine.run(request).expect("unlimited budget")
-}
 
 /// The outcome of running one (program, policy) cell of a table.
 #[derive(Clone, Debug)]

@@ -21,8 +21,8 @@
 //! byte-identical to a cold run's.
 
 use crate::{
-    check_candidates_parallel, collect_candidates, dedup_key, Candidate, DetectConfig, KeyOutcome,
-    Race, RaceAccess, RaceReport,
+    check_candidates_parallel, collect_candidates, merge_outcomes, under_budget, Candidate,
+    DetectConfig, KeyOutcome, Race, RaceAccess, RaceReport,
 };
 use o2_analysis::{memkey_to_db, KeyResolver, MemKey, OsaResult};
 use o2_db::{
@@ -364,28 +364,16 @@ fn race_from_db(
 
 /// Runs race detection incrementally: candidates whose input digest has a
 /// stored verdict are replayed; the rest are checked (in parallel, as in
-/// the cold path); the merge is identical to [`crate::detect`]'s, so the
-/// report — counters included — is byte-identical to a cold run. The
-/// database section is rewritten to exactly this run's verdicts unless
-/// the run timed out.
-#[allow(clippy::too_many_arguments)]
-pub fn detect_incremental(
-    ctx: &ProgramCtx<'_>,
-    pta: &PtaResult,
-    osa: &OsaResult,
-    shb: &ShbGraph,
-    config: &DetectConfig,
-    canon: &CanonIndex,
-    fresh_base: &[u32],
-    db: &mut AnalysisDb,
-) -> DetectIncr {
-    detect_incremental_inner(ctx, pta, osa, shb, config, canon, fresh_base, db, None).0
-}
-
-/// Like [`detect_incremental`], but polls a request-scoped [`Budget`] in
-/// the chunk-claim loop and aborts with a typed error when it trips. A
-/// budget-aborted run keeps the database's previous verdicts (same rule
-/// as a truncation timeout: the run never saw the full candidate set).
+/// the cold path); the merge is [`crate::detect`]'s, so the report —
+/// counters included — is byte-identical to a cold run. The database
+/// section is rewritten to exactly this run's verdicts unless the run
+/// timed out.
+///
+/// Polls a request-scoped [`Budget`] in the chunk-claim loop and aborts
+/// with a typed error when it trips (pass [`Budget::unlimited`] to run
+/// unbounded). A budget-aborted run keeps the database's previous
+/// verdicts (same rule as a truncation timeout: the run never saw the
+/// full candidate set).
 ///
 /// # Errors
 ///
@@ -402,21 +390,9 @@ pub fn detect_incremental_budgeted(
     db: &mut AnalysisDb,
     budget: &Budget,
 ) -> Result<DetectIncr, O2Error> {
-    budget.check("detect entry")?;
-    let b = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (incr, budget_hit) =
-        detect_incremental_inner(ctx, pta, osa, shb, config, canon, fresh_base, db, b);
-    if budget_hit {
-        budget.check("detect chunk claim")?;
-        return Err(O2Error::Timeout(
-            "deadline exceeded at detect chunk claim".into(),
-        ));
-    }
-    Ok(incr)
+    under_budget(budget, |b| {
+        detect_incremental_inner(ctx, pta, osa, shb, config, canon, fresh_base, db, b)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -530,25 +506,22 @@ fn detect_incremental_inner(
     // never got to, so verdict storage is skipped entirely below.
     let timed_out_run = out_of_time || budget_hit || outcomes.iter().flatten().any(|o| o.timed_out);
 
-    // Deterministic merge, identical to the cold path's phase 3.
-    let mut seen: std::collections::HashSet<(MemKey, GStmt, GStmt)> = Default::default();
+    // A candidate without an outcome was never checked: the run timed
+    // out first.
+    merge_outcomes(
+        &mut report,
+        &candidates,
+        outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| Some((i, o.as_ref()?))),
+        out_of_time,
+        workers,
+    );
     let mut next_verdicts: BTreeMap<Digest, VerdictArtifact> = BTreeMap::new();
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let Some(outcome) = outcome else {
-            continue; // never checked: the run timed out first
-        };
-        report.region_merged += candidates[i].region_merged;
-        report.pairs_checked += outcome.pairs_checked;
-        report.lock_pruned += outcome.lock_pruned;
-        report.hb_pruned += outcome.hb_pruned;
-        report.pairs_budget_hit |= outcome.pairs_budget_hit;
-        report.timed_out |= outcome.timed_out;
-        for r in &outcome.races {
-            if seen.insert(dedup_key(r.key, r.a.stmt, r.b.stmt)) {
-                report.races.push(*r);
-            }
-        }
-        if !timed_out_run {
+    if !timed_out_run {
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let Some(outcome) = outcome else { continue };
             // A replayed candidate's stored artifact is moved over as-is
             // (same digest ⇒ same content); only re-checked candidates
             // are encoded.
@@ -571,11 +544,6 @@ fn detect_incremental_inner(
             next_verdicts.insert(digests[i], art);
         }
     }
-    report.timed_out |= out_of_time;
-    report.threads_used = workers;
-    report
-        .races
-        .sort_by_key(|r| (r.key, r.a.stmt, r.b.stmt, r.a.origin.0, r.b.origin.0));
     report.duration = start.elapsed();
 
     db.verdicts = if timed_out_run {
@@ -679,7 +647,7 @@ mod tests {
             &shb.graph,
             &cfg,
         );
-        let first = detect_incremental(
+        let first = detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s.p),
             &s.pta,
             &s.osa,
@@ -688,10 +656,12 @@ mod tests {
             &s.canon,
             &shb.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         assert_eq!(first.candidates_replayed, 0);
         assert!(reports_equal(&first.report, &cold));
-        let second = detect_incremental(
+        let second = detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s.p),
             &s.pta,
             &s.osa,
@@ -700,7 +670,9 @@ mod tests {
             &s.canon,
             &shb.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         assert_eq!(second.candidates_rechecked, 0);
         assert_eq!(second.candidates_replayed, first.candidates_rechecked);
         assert!(reports_equal(&second.report, &cold));
@@ -724,7 +696,7 @@ mod tests {
             &mut s.osa.locs,
             &mut db,
         );
-        let base = detect_incremental(
+        let base = detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s.p),
             &s.pta,
             &s.osa,
@@ -733,7 +705,9 @@ mod tests {
             &s.canon,
             &shb.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         assert!(base.candidates_rechecked >= 2, "S.a and S.b are candidates");
         // Edit W2.run (touches S.b only). W1's candidate on S.a still
         // involves main (entry edges), but main's own trace changes only
@@ -751,7 +725,7 @@ mod tests {
             &mut s2.osa.locs,
             &mut db,
         );
-        let warm = detect_incremental(
+        let warm = detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s2.p),
             &s2.pta,
             &s2.osa,
@@ -760,7 +734,9 @@ mod tests {
             &s2.canon,
             &shb2.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         let cold = detect(
             &o2_ir::ProgramCtx::solo(&s2.p),
             &s2.pta,
@@ -795,7 +771,7 @@ mod tests {
             &mut db,
         );
         let cfg = DetectConfig::o2();
-        detect_incremental(
+        detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s.p),
             &s.pta,
             &s.osa,
@@ -804,9 +780,11 @@ mod tests {
             &s.canon,
             &shb.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         let naive = DetectConfig::naive();
-        let warm = detect_incremental(
+        let warm = detect_incremental_budgeted(
             &o2_ir::ProgramCtx::solo(&s.p),
             &s.pta,
             &s.osa,
@@ -815,7 +793,9 @@ mod tests {
             &s.canon,
             &shb.fresh_base,
             &mut db,
-        );
+            &Budget::unlimited(),
+        )
+        .expect("unlimited budget");
         assert_eq!(warm.candidates_replayed, 0, "different engine, no replay");
         let cold = detect(
             &o2_ir::ProgramCtx::solo(&s.p),

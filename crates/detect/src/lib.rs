@@ -58,7 +58,7 @@ pub mod oversync;
 
 pub use deadlock::{detect_deadlocks, DeadlockCycle, DeadlockReport};
 pub use html::render_html;
-pub use incr::{detect_incremental, detect_incremental_budgeted, DetectIncr};
+pub use incr::{detect_incremental_budgeted, DetectIncr};
 pub use oversync::{find_oversync, OversyncReport, OversyncWarning};
 
 use o2_analysis::{MemKey, OsaResult};
@@ -447,13 +447,27 @@ pub fn detect_budgeted(
     config: &DetectConfig,
     budget: &Budget,
 ) -> Result<RaceReport, O2Error> {
+    under_budget(budget, |b| {
+        detect_with_budget(ctx, pta, osa, shb, config, b)
+    })
+}
+
+/// The budget protocol shared by [`detect_budgeted`] and
+/// [`detect_incremental_budgeted`]: checks `budget` on entry, runs
+/// `run` with the budget to poll in the chunk-claim loop (none when it
+/// is unlimited), and turns a trip reported by `run` into a typed
+/// error.
+fn under_budget<T>(
+    budget: &Budget,
+    run: impl FnOnce(Option<&Budget>) -> (T, bool),
+) -> Result<T, O2Error> {
     budget.check("detect entry")?;
-    let b = if budget.is_unlimited() {
+    let polled = if budget.is_unlimited() {
         None
     } else {
         Some(budget)
     };
-    let (report, budget_hit) = detect_with_budget(ctx, pta, osa, shb, config, b);
+    let (out, budget_hit) = run(polled);
     if budget_hit {
         budget.check("detect chunk claim")?;
         // The flag was set but a sub-millisecond re-check came back
@@ -462,7 +476,7 @@ pub fn detect_budgeted(
             "deadline exceeded at detect chunk claim".into(),
         ));
     }
-    Ok(report)
+    Ok(out)
 }
 
 fn detect_with_budget(
@@ -515,21 +529,41 @@ fn detect_with_budget(
 
     // ---- phase 3: deterministic merge -----------------------------------
     merged.sort_unstable_by_key(|(i, _)| *i);
-    // Candidate order already fixes which duplicate survives, so the dedup
-    // set only needs membership, not ordering.
+    merge_outcomes(
+        &mut report,
+        &candidates,
+        merged.iter().map(|(i, o)| (*i, o)),
+        out_of_time,
+        workers,
+    );
+    report.duration = start.elapsed();
+    (report, budget_hit.load(Ordering::Relaxed))
+}
+
+/// Phase 3 of [`detect`] and [`detect_incremental_budgeted`]: folds the
+/// per-candidate outcomes, which must come in candidate order, into
+/// `report`. Races are deduplicated by field and unordered statement
+/// pair across all locations, so candidate order fixes which duplicate
+/// survives, and the final sort makes the report independent of how the
+/// candidates were scheduled.
+fn merge_outcomes<'a>(
+    report: &mut RaceReport,
+    candidates: &[Candidate],
+    outcomes: impl IntoIterator<Item = (usize, &'a KeyOutcome)>,
+    out_of_time: bool,
+    workers: usize,
+) {
     let mut seen: HashSet<(MemKey, GStmt, GStmt)> = HashSet::new();
-    for (i, outcome) in merged {
+    for (i, outcome) in outcomes {
         report.region_merged += candidates[i].region_merged;
         report.pairs_checked += outcome.pairs_checked;
         report.lock_pruned += outcome.lock_pruned;
         report.hb_pruned += outcome.hb_pruned;
         report.pairs_budget_hit |= outcome.pairs_budget_hit;
         report.timed_out |= outcome.timed_out;
-        for r in outcome.races {
-            // Deduplicate by field and unordered statement pair, across
-            // all locations, in candidate order.
+        for r in &outcome.races {
             if seen.insert(dedup_key(r.key, r.a.stmt, r.b.stmt)) {
-                report.races.push(r);
+                report.races.push(*r);
             }
         }
     }
@@ -538,8 +572,6 @@ fn detect_with_budget(
     report
         .races
         .sort_by_key(|r| (r.key, r.a.stmt, r.b.stmt, r.a.origin.0, r.b.origin.0));
-    report.duration = start.elapsed();
-    (report, budget_hit.load(Ordering::Relaxed))
 }
 
 /// Phase 1 of [`detect`]: collects the candidate locations with their

@@ -106,8 +106,9 @@ pub struct PipelineState {
     pub racerd: Option<RacerDReport>,
 }
 
-/// Per-pass counters, rendered into `BENCH_pr2.json` and the pipeline
-/// JSON. Keys are static so reports stay deterministic.
+/// Per-pass counters, rendered into the pipeline JSON and the `passes/`
+/// rows of the bench report. Keys are static so reports stay
+/// deterministic.
 pub type PassStats = Vec<(&'static str, u64)>;
 
 /// One precision pass over the shared [`AnalysisCtx`].

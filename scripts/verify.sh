@@ -2,15 +2,16 @@
 # Full offline verification: formatting, release build, complete test
 # suite (which diffs the checked-in golden JSON/SARIF reports under
 # tests/golden/), lints (including the panic-budget lint over non-test
-# crate code), and the PR 1 through PR 10 reports (BENCH_pr1.json
-# through BENCH_pr10.json at the repo root).
+# crate code), and the gated bench report (BENCH_gate.json at the repo
+# root).
 #
-# Bench groups that report cold end-to-end times (pr3, pr5, pr6, pr7) are
-# gated against the *committed* BENCH_*.json baselines: after each group
-# regenerates its report, `bench --regress` fails the script if any cold
-# row got more than 25% (and more than an absolute 5 ms) slower. The
-# committed baseline is snapshotted to a temp dir before the groups run,
-# so the gate always compares against what was last checked in.
+# `bench` regenerates the report and fails the script if any oracle field
+# in it is false. Its `cold_ms` rows are then gated against the
+# *committed* BENCH_gate.json: `bench --regress` fails the script if a
+# committed row is missing or got more than 25% (and more than an
+# absolute 5 ms) slower. The committed baseline is snapshotted to a temp
+# dir before the bench runs, so the gate always compares against what
+# was last checked in.
 #
 # The workspace has no external dependencies, so every step runs with
 # --offline and must succeed without network access.
@@ -51,47 +52,19 @@ if [ "$panic_count" -gt "$panic_budget" ]; then
     exit 1
 fi
 
-# Snapshot the committed baselines before any group overwrites them.
+# Snapshot the committed baseline before the bench overwrites it.
 baseline_dir=$(mktemp -d)
 trap 'rm -rf "$baseline_dir"' EXIT
-for f in BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json; do
-    if [ -f "$f" ]; then cp "$f" "$baseline_dir/$f"; fi
-done
+if [ -f BENCH_gate.json ]; then cp BENCH_gate.json "$baseline_dir/BENCH_gate.json"; fi
 
-echo "==> bench --group pr1 (writes BENCH_pr1.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr1
+echo "==> bench (writes BENCH_gate.json; fails on any false oracle)"
+cargo run --release --offline -p o2-bench --bin bench
 
-echo "==> bench --group pr2 (writes BENCH_pr2.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr2
-
-echo "==> bench --group pr3 (writes BENCH_pr3.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr3
-
-echo "==> bench --group pr5 (writes BENCH_pr5.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr5
-
-echo "==> bench --group pr6 (writes BENCH_pr6.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr6
-
-echo "==> bench --group pr7 (writes BENCH_pr7.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr7
-
-echo "==> bench --group pr8 (writes BENCH_pr8.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr8
-
-echo "==> bench --group pr9 (writes BENCH_pr9.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr9
-
-echo "==> bench --group pr10 (writes BENCH_pr10.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr10
-
-echo "==> cold end-to-end regression gate (vs committed baselines)"
-for f in BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json; do
-    if [ -f "$baseline_dir/$f" ]; then
-        cargo run --release --offline -p o2-bench --bin bench -- \
-            --regress "$baseline_dir/$f" "$f"
-    fi
-done
+echo "==> cold end-to-end regression gate (vs committed baseline)"
+if [ -f "$baseline_dir/BENCH_gate.json" ]; then
+    cargo run --release --offline -p o2-bench --bin bench -- \
+        --regress "$baseline_dir/BENCH_gate.json" BENCH_gate.json
+fi
 
 echo "==> incremental warm-vs-cold equivalence"
 cargo test -q --offline --test incremental --test db_determinism --test roundtrip --test sync_primitives

@@ -1,8 +1,8 @@
 //! Mega-preset determinism and pruning tests (PR 6), sized for tier-1
 //! time via the reduced `mega-smoke` preset.
 //!
-//! The bench-scale presets (`mega-grid`, `mega-skew`) run only under
-//! `bench --group pr6`; everything the pre-loop pruner and the
+//! The bench-scale presets (`mega-grid`, `mega-skew`) run only in the
+//! `mega/` rows of `bench`; everything the pre-loop pruner and the
 //! CSR/bitset data plane must *guarantee* is checked here on the small
 //! preset, where a full cold analysis takes milliseconds.
 //!
